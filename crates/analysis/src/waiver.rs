@@ -9,9 +9,9 @@
 //!   styles work:
 //!
 //!   ```text
-//!   let e = rob.find_mut(t).expect("x"); // lint: allow(D3) -- reason
+//!   let e = rob.get(p, t).expect("x"); // lint: allow(D3) -- reason
 //!   // lint: allow(D3) -- reason
-//!   let e = rob.find_mut(t).expect("x");
+//!   let e = rob.get(p, t).expect("x");
 //!   ```
 //!
 //!   A waiver without the ` -- reason` part is ignored: undocumented

@@ -96,6 +96,10 @@ impl CoreConfig {
         if self.fetch_threads > self.contexts {
             return Err("fetch_threads > contexts".into());
         }
+        if self.contexts > 256 {
+            // The issue-queue wakeup records store the thread id as a u8.
+            return Err("contexts > 256".into());
+        }
         // Each context pins NUM_LOG_REGS physical registers for its
         // architectural state; some must remain for renaming.
         let pinned = self.contexts as u64 * smtsim_trace::NUM_LOG_REGS as u64;
@@ -166,5 +170,9 @@ mod tests {
         let mut c = CoreConfig::paper();
         c.btb_ways = 3;
         assert!(c.validate().is_err());
+        let mut c = CoreConfig::paper();
+        c.contexts = 257;
+        c.phys_regs = 258 * smtsim_trace::NUM_LOG_REGS as u32;
+        assert_eq!(c.validate(), Err("contexts > 256".into()));
     }
 }

@@ -29,7 +29,8 @@ use std::sync::Arc;
 /// What an in-flight memory request resolves to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MemTarget {
-    Load { tid: usize, token: u64 },
+    /// A load, by its ROB handle (see [`Rob::get`](crate::rob::Rob::get)).
+    Load { tid: usize, token: u64, pos: u32 },
     IFetch { tid: usize },
     Store,
 }
@@ -44,7 +45,8 @@ enum MemTarget {
 ///
 /// Squashes do not edit these lists: a squashed entry goes stale in
 /// place and is dropped lazily wherever it next surfaces, validated
-/// against the ROB (`token` still resident and `InQueue`). Tokens are
+/// through its ROB handle: `(pos, token)` must still resolve (see
+/// [`Rob::get`](crate::rob::Rob::get)) to an `InQueue` entry. Tokens are
 /// never reused, so a stale record can never be mistaken for a live
 /// one. For *live* entries the scheme is exact because source
 /// readiness is monotone: a source register can be rolled back or
@@ -53,12 +55,17 @@ enum MemTarget {
 #[derive(Debug, Clone, Copy)]
 struct IqEntry {
     token: u64,
-    tid: u32,
+    /// ROB position of `token` (the other half of its handle).
+    pos: u32,
+    tid: u8,
     /// Queue index (`QueueKind::index`), so wakeups route to the right
     /// ready list without a ROB lookup.
     qi: u8,
     srcs: [Option<PhysReg>; 2],
 }
+
+// The wakeup lists move these records on every wakeup: keep them small.
+const _: () = assert!(std::mem::size_of::<IqEntry>() == 24);
 
 /// One SMT core.
 pub struct DetailedCore {
@@ -82,8 +89,10 @@ pub struct DetailedCore {
     /// from the front at commit, truncated from the back on squash.
     /// Store-to-load forwarding scans this instead of the ROB.
     store_fwd: Vec<VecDeque<(u64, u64)>>,
-    /// Scheduled execution completions: (done_at, tid, token).
-    exec_heap: BinaryHeap<Reverse<(u64, usize, u64)>>,
+    /// Scheduled execution completions: (done_at, tid, token, ROB
+    /// position). Ordered by the first three; the position only
+    /// completes the handle.
+    exec_heap: BinaryHeap<Reverse<(u64, usize, u64, u32)>>,
     /// Per-thread wrong-path prefetch buffers.
     wp_buffers: Vec<VecDeque<DynInstr>>,
     next_token: u64,
@@ -108,9 +117,10 @@ pub struct DetailedCore {
     snaps_fresh: bool,
     prio: Vec<usize>,
     actions: Vec<PolicyAction>,
-    /// Issue-stage candidate lists, one per queue kind (D10: the issue
-    /// stage runs every cycle and must not allocate).
-    iq_cands: [Vec<(u64, usize)>; 3],
+    /// Issue-stage candidate lists of `(token, tid, ROB position)`, one
+    /// per queue kind (D10: the issue stage runs every cycle and must
+    /// not allocate).
+    iq_cands: [Vec<(u64, usize, u32)>; 3],
     /// Ready issue-queue residents, one list per queue kind (see
     /// [`IqEntry`]): every live entry whose sources are all ready.
     /// Pre-sized to the queue capacities at construction so the cycle
@@ -322,7 +332,7 @@ impl DetailedCore {
         if !self.store_queue.is_empty() {
             return from;
         }
-        if let Some(&Reverse((done_at, _, _))) = self.exec_heap.peek() {
+        if let Some(&Reverse((done_at, ..))) = self.exec_heap.peek() {
             if done_at <= from {
                 return from;
             }
@@ -357,21 +367,14 @@ impl DetailedCore {
         // stale (squashed) records must be ignored, not trusted.
         for list in &self.iq_ready {
             for e in list {
-                let tid = e.tid as usize;
-                let live = self.threads[tid]
-                    .rob
-                    .index_of(e.token)
-                    .is_some_and(|idx| {
-                        self.threads[tid].rob.entry_at(idx).state == InstrState::InQueue
-                    });
-                if live {
+                if self.iq_live(e) {
                     return from;
                 }
             }
         }
         // Quiescent at `from`: gather the scheduled wake-ups.
         let mut at = self.policy.next_wake(from);
-        if let Some(&Reverse((done_at, _, _))) = self.exec_heap.peek() {
+        if let Some(&Reverse((done_at, ..))) = self.exec_heap.peek() {
             at = at.min(done_at);
         }
         for t in &self.threads {
@@ -445,16 +448,14 @@ impl DetailedCore {
         for ev in mem.drain_events(self.core_id) {
             match ev {
                 MemEvent::L2MissDetected { req, at } => {
-                    if let Some(&(_, MemTarget::Load { tid, token })) =
+                    if let Some(&(_, MemTarget::Load { tid, token, pos })) =
                         self.req_map.iter().find(|(r, _)| *r == req)
                     {
+                        let rob = &self.threads[tid].rob;
+                        let e = rob.get(pos, token);
+                        debug_assert!(e.is_some() || rob.index_of(token).is_none());
                         // Only correct-path tracked loads reach the policy.
-                        if self.threads[tid]
-                            .rob
-                            .find_mut(token)
-                            .map(|e| e.load_tracked && !e.wrong_path)
-                            .unwrap_or(false)
-                        {
+                        if e.is_some_and(|e| e.load_tracked && !e.wrong_path) {
                             self.policy.on_l2_miss(tid, token, at);
                         }
                     }
@@ -462,22 +463,25 @@ impl DetailedCore {
             }
         }
         for c in mem.drain_completions(self.core_id) {
-            let Some(pos) = self.req_map.iter().position(|(r, _)| *r == c.req) else {
+            let Some(i) = self.req_map.iter().position(|(r, _)| *r == c.req) else {
                 continue; // orphaned by a squash
             };
-            let (_, target) = self.req_map.swap_remove(pos);
+            let (_, target) = self.req_map.swap_remove(i);
             match target {
-                MemTarget::Load { tid, token } => {
+                MemTarget::Load { tid, token, pos } => {
                     let mut resume = false;
                     let mut notify = false;
                     let mut ready_reg = None;
-                    if let Some(e) = self.threads[tid].rob.find_mut(token) {
+                    let rob = &mut self.threads[tid].rob;
+                    if let Some(e) = rob.get_mut(pos, token) {
                         e.state = InstrState::Done;
                         notify = e.load_tracked && !e.wrong_path;
                         if let Some((newr, _)) = e.dst {
                             self.regs.mark_ready(newr);
                             ready_reg = Some(newr);
                         }
+                    } else {
+                        debug_assert!(rob.index_of(token).is_none());
                     }
                     if let Some(newr) = ready_reg {
                         self.wake_reg(newr);
@@ -518,28 +522,26 @@ impl DetailedCore {
     // ----------------------------------------------------------------
 
     fn exec_complete(&mut self, now: u64) {
-        while let Some(&Reverse((done_at, _, _))) = self.exec_heap.peek() {
+        while let Some(&Reverse((done_at, ..))) = self.exec_heap.peek() {
             if done_at > now {
                 break;
             }
-            let Some(Reverse((_, tid, token))) = self.exec_heap.pop() else {
+            let Some(Reverse((_, tid, token, pos))) = self.exec_heap.pop() else {
                 break; // unreachable: peek above returned Some
             };
-            let (resolve_mispredict, load_complete, is_cond_branch, dst) =
-                match self.threads[tid].rob.find_mut(token) {
-                    Some(e) if matches!(e.state, InstrState::Executing { .. }) => {
-                        e.state = InstrState::Done;
-                        (
-                            e.mispredicted && !e.wrong_path,
-                            e.instr.class == InstrClass::Load
-                                && e.load_tracked
-                                && !e.wrong_path,
-                            e.instr.class == InstrClass::BranchCond && !e.wrong_path,
-                            e.dst,
-                        )
-                    }
-                    _ => continue, // squashed
-                };
+            let rob = &mut self.threads[tid].rob;
+            let Some(e) = rob.get_mut(pos, token) else {
+                debug_assert!(rob.index_of(token).is_none());
+                continue; // squashed
+            };
+            // Each token issues once, and only this loop finishes it.
+            debug_assert!(matches!(e.state, InstrState::Executing { .. }));
+            e.state = InstrState::Done;
+            let resolve_mispredict = e.mispredicted && !e.wrong_path;
+            let load_complete =
+                e.instr.class == InstrClass::Load && e.load_tracked && !e.wrong_path;
+            let is_cond_branch = e.instr.class == InstrClass::BranchCond && !e.wrong_path;
+            let dst = e.dst;
             if let Some((newr, _)) = dst {
                 self.regs.mark_ready(newr);
                 self.wake_reg(newr);
@@ -655,19 +657,12 @@ impl DetailedCore {
             let mut i = 0;
             while i < self.iq_ready[qi].len() {
                 let e = self.iq_ready[qi][i];
-                let tid = e.tid as usize;
-                let live = self.threads[tid]
-                    .rob
-                    .index_of(e.token)
-                    .is_some_and(|idx| {
-                        self.threads[tid].rob.entry_at(idx).state == InstrState::InQueue
-                    });
-                if live {
+                if self.iq_live(&e) {
                     debug_assert!(
                         e.srcs.iter().flatten().all(|&p| self.regs.is_ready(p)),
                         "iq_ready entry with a not-ready source"
                     );
-                    list.push((e.token, tid));
+                    list.push((e.token, e.tid as usize, e.pos));
                     i += 1;
                 } else {
                     self.iq_ready[qi].swap_remove(i);
@@ -678,17 +673,26 @@ impl DetailedCore {
         for (qi, list) in cands.iter_mut().enumerate() {
             list.sort_unstable();
             let mut issued = 0;
-            for &(token, tid) in list.iter() {
+            for &(token, tid, pos) in list.iter() {
                 if issued == units[qi] {
                     break;
                 }
-                if self.try_issue_one(tid, token, now, mem) {
+                if self.try_issue_one(tid, token, pos, now, mem) {
                     self.iq_unready(qi, token);
                     issued += 1;
                 }
             }
         }
         self.iq_cands = cands;
+    }
+
+    /// True when wakeup record `e` still names a resident `InQueue`
+    /// instruction; false for a stale (squashed) record.
+    fn iq_live(&self, e: &IqEntry) -> bool {
+        self.threads[e.tid as usize]
+            .rob
+            .get(e.pos, e.token)
+            .is_some_and(|r| r.state == InstrState::InQueue)
     }
 
     /// Remove `token` from ready list `qi` (the entry left `InQueue`
@@ -735,88 +739,80 @@ impl DetailedCore {
     }
 
     /// Issue one instruction; returns false when it must stay queued
-    /// (MSHR full). The entry is resolved by index exactly once —
-    /// issue candidates sit near the tail of a deep ROB, where the
-    /// head-first [`Rob::find_mut`] scan is at its worst — and nothing
-    /// below moves ROB entries, so the index stays valid throughout.
-    fn try_issue_one(&mut self, tid: usize, token: u64, now: u64, mem: &mut MemoryModel) -> bool {
-        let idx = self.threads[tid]
-            .rob
-            .index_of(token)
-            // lint: allow(D3) -- issue candidates come from iq_lists, which mirror resident InQueue ROB entries
-            .expect("issue candidate resident in ROB");
+    /// (MSHR full). The candidate arrives with its ROB handle, so the
+    /// entry is found without a search: once to read it, once to write
+    /// the issued state back. Nothing in between moves ROB entries.
+    fn try_issue_one(
+        &mut self,
+        tid: usize,
+        token: u64,
+        pos: u32,
+        now: u64,
+        mem: &mut MemoryModel,
+    ) -> bool {
         let (class, addr, queue, addr_pc, wrong_path) = {
-            let e = self.threads[tid].rob.entry_at(idx);
+            let e = self.threads[tid]
+                .rob
+                .get(pos, token)
+                // lint: allow(D3) -- issue candidates passed iq_live this cycle, and issue moves no ROB entry
+                .expect("issue candidate resident in ROB");
             (e.instr.class, e.instr.mem_addr, e.queue, e.instr.pc, e.wrong_path)
         };
 
-        match class {
-            InstrClass::Load => {
-                // Wrong-path loads execute without touching the data
-                // cache (SMTsim models wrong-path effects on the
-                // I-cache and branch predictor only; junk data accesses
-                // would fabricate MSHR/bank traffic at made-up
-                // addresses).
-                if wrong_path {
-                    let e = self.threads[tid].rob.entry_at_mut(idx);
-                    e.state = InstrState::Executing { done_at: now + 1 };
-                    self.exec_heap.push(Reverse((now + 1, tid, token)));
-                    self.iq_used[queue.index()] -= 1;
-                    self.iq_per_thread[tid] = self.iq_per_thread[tid].saturating_sub(1);
-                    return true;
-                }
-                // Store-to-load forwarding: an older in-flight store of
-                // the same thread to the same word supplies the data
-                // directly (no cache access).
-                if self.store_forward_hit(tid, token, addr) {
-                    let e = self.threads[tid].rob.entry_at_mut(idx);
-                    e.state = InstrState::Executing { done_at: now + 1 };
-                    e.load_tracked = false;
-                    self.exec_heap.push(Reverse((now + 1, tid, token)));
-                    self.store_forwards += 1;
-                    self.iq_used[queue.index()] -= 1;
-                    self.iq_per_thread[tid] = self.iq_per_thread[tid].saturating_sub(1);
-                    return true;
-                }
-                match mem.access(self.core_id, AccessKind::Load, addr, now) {
-                    AccessResult::L1Hit { ready_at, .. } => {
-                        let e = self.threads[tid].rob.entry_at_mut(idx);
-                        e.state = InstrState::Executing { done_at: ready_at };
-                        e.load_tracked = true;
-                        self.exec_heap.push(Reverse((ready_at, tid, token)));
-                        self.threads[tid].loads_issued += 1;
-                        self.policy.on_load_issue(tid, token, addr_pc, now);
-                    }
-                    AccessResult::Miss { req, .. } => {
-                        let bank = bank_of(addr, mem.config().l2_banks);
-                        let e = self.threads[tid].rob.entry_at_mut(idx);
-                        e.state = InstrState::WaitingMem { req };
-                        e.load_tracked = true;
-                        debug_assert!(!self.req_map.iter().any(|(r, _)| *r == req), "duplicate req id {req} in req_map");
-                        self.req_map.push((req, MemTarget::Load { tid, token }));
-                        self.threads[tid].l1d_misses_in_flight += 1;
-                        self.threads[tid].loads_issued += 1;
-                        self.policy.on_load_issue(tid, token, addr_pc, now);
-                        self.policy.on_l1d_miss(tid, token, bank, now);
-                    }
-                    AccessResult::MshrFull => {
-                        self.mshr_retries += 1;
-                        return false;
-                    }
-                }
+        // The issued state, and the load's new `load_tracked` flag.
+        let (state, tracked) = match class {
+            // Wrong-path loads execute without touching the data cache
+            // (SMTsim models wrong-path effects on the I-cache and
+            // branch predictor only; junk data accesses would fabricate
+            // MSHR/bank traffic at made-up addresses).
+            InstrClass::Load if wrong_path => {
+                (InstrState::Executing { done_at: now + 1 }, None)
             }
-            InstrClass::Store => {
-                // Address generation only; memory access happens at
-                // commit via the store queue.
-                let e = self.threads[tid].rob.entry_at_mut(idx);
-                e.state = InstrState::Executing { done_at: now + 1 };
-                self.exec_heap.push(Reverse((now + 1, tid, token)));
+            // Store-to-load forwarding: an older in-flight store of the
+            // same thread to the same word supplies the data directly
+            // (no cache access).
+            InstrClass::Load if self.store_forward_hit(tid, token, addr) => {
+                self.store_forwards += 1;
+                (InstrState::Executing { done_at: now + 1 }, Some(false))
             }
-            _ => {
-                let done = now + class.exec_latency() as u64;
-                let e = self.threads[tid].rob.entry_at_mut(idx);
-                e.state = InstrState::Executing { done_at: done };
-                self.exec_heap.push(Reverse((done, tid, token)));
+            InstrClass::Load => match mem.access(self.core_id, AccessKind::Load, addr, now) {
+                AccessResult::L1Hit { ready_at, .. } => {
+                    self.threads[tid].loads_issued += 1;
+                    self.policy.on_load_issue(tid, token, addr_pc, now);
+                    (InstrState::Executing { done_at: ready_at }, Some(true))
+                }
+                AccessResult::Miss { req, .. } => {
+                    let bank = bank_of(addr, mem.config().l2_banks);
+                    debug_assert!(!self.req_map.iter().any(|(r, _)| *r == req), "duplicate req id {req} in req_map");
+                    self.req_map.push((req, MemTarget::Load { tid, token, pos }));
+                    self.threads[tid].l1d_misses_in_flight += 1;
+                    self.threads[tid].loads_issued += 1;
+                    self.policy.on_load_issue(tid, token, addr_pc, now);
+                    self.policy.on_l1d_miss(tid, token, bank, now);
+                    (InstrState::WaitingMem { req }, Some(true))
+                }
+                AccessResult::MshrFull => {
+                    self.mshr_retries += 1;
+                    return false;
+                }
+            },
+            // Address generation only; memory access happens at commit
+            // via the store queue.
+            InstrClass::Store => (InstrState::Executing { done_at: now + 1 }, None),
+            _ => (
+                InstrState::Executing {
+                    done_at: now + class.exec_latency() as u64,
+                },
+                None,
+            ),
+        };
+        if let InstrState::Executing { done_at } = state {
+            self.exec_heap.push(Reverse((done_at, tid, token, pos)));
+        }
+        if let Some(e) = self.threads[tid].rob.get_mut(pos, token) {
+            e.state = state;
+            if let Some(t) = tracked {
+                e.load_tracked = t;
             }
         }
         // The instruction left its issue queue.
@@ -888,7 +884,7 @@ impl DetailedCore {
                     None
                 };
                 self.threads[tid].frontend.pop_front();
-                self.threads[tid].rob.push(RobEntry {
+                let pos = self.threads[tid].rob.push(RobEntry {
                     token: fe.token,
                     instr: fe.instr,
                     wrong_path: fe.wrong_path,
@@ -901,7 +897,8 @@ impl DetailedCore {
                 });
                 self.park_or_ready(IqEntry {
                     token: fe.token,
-                    tid: tid as u32,
+                    pos,
+                    tid: tid as u8,
                     qi: queue.index() as u8,
                     srcs,
                 });
@@ -1000,16 +997,17 @@ impl DetailedCore {
     /// load `token` and squashing everything younger.
     fn execute_flush(&mut self, tid: usize, token: u64, now: u64) {
         // Validate: the load must still be outstanding.
-        let outstanding = self.threads[tid]
-            .rob
-            .find_mut(token)
-            .map(|e| {
+        // The policy names the load by token alone: search for it.
+        let rob = &self.threads[tid].rob;
+        let outstanding = rob
+            .index_of(token)
+            .and_then(|i| rob.iter().nth(i))
+            .is_some_and(|e| {
                 matches!(
                     e.state,
                     InstrState::WaitingMem { .. } | InstrState::Executing { .. }
                 )
-            })
-            .unwrap_or(false);
+            });
         if !outstanding {
             // Raced with the completion; tell the policy the thread runs.
             self.policy.on_thread_resumed(tid, now);

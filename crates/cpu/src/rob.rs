@@ -89,10 +89,20 @@ impl RobEntry {
 }
 
 /// A bounded, in-order reorder buffer for one hardware context.
+///
+/// Every entry has an absolute *position*: the number of entries pushed
+/// before it, as a wrapping `u32`. [`Rob::push`] returns it, and a
+/// `(position, token)` pair is a handle that [`Rob::get`] resolves in
+/// O(1), with no search. Tokens are never reused, so a handle whose
+/// entry has left the ROB can only miss: a committed entry's position
+/// lies behind the head, and a squashed entry's position is either past
+/// the tail or refilled by a younger instruction with another token.
 #[derive(Debug, Clone)]
 pub struct Rob {
     entries: VecDeque<RobEntry>,
     capacity: usize,
+    /// Absolute position of `entries[0]`.
+    head_pos: u32,
 }
 
 impl Rob {
@@ -102,6 +112,7 @@ impl Rob {
         Rob {
             entries: VecDeque::with_capacity(capacity),
             capacity,
+            head_pos: 0,
         }
     }
 
@@ -120,14 +131,17 @@ impl Rob {
         self.entries.is_empty()
     }
 
-    /// Append a dispatched instruction (program order). Panics when
-    /// full — callers must check [`Rob::has_room`].
-    pub fn push(&mut self, e: RobEntry) {
+    /// Append a dispatched instruction (program order) and return its
+    /// position, the handle half that [`Rob::get`] takes beside the
+    /// token. Panics when full — callers must check [`Rob::has_room`].
+    pub fn push(&mut self, e: RobEntry) -> u32 {
         assert!(self.has_room(), "ROB overflow");
         if let Some(last) = self.entries.back() {
             debug_assert!(e.token > last.token, "ROB must stay in program order");
         }
+        let pos = self.head_pos.wrapping_add(self.entries.len() as u32);
         self.entries.push_back(e);
+        pos
     }
 
     /// Oldest instruction.
@@ -137,7 +151,9 @@ impl Rob {
 
     /// Remove and return the oldest instruction (commit).
     pub fn pop_head(&mut self) -> Option<RobEntry> {
-        self.entries.pop_front()
+        let e = self.entries.pop_front()?;
+        self.head_pos = self.head_pos.wrapping_add(1);
+        Some(e)
     }
 
     /// Remove every entry younger than `keep_token`, appending them to
@@ -157,26 +173,28 @@ impl Rob {
         self.entries.iter()
     }
 
-    /// Iterate with mutation, oldest → newest.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
-        self.entries.iter_mut()
+    /// The entry at position `pos` if it still holds `token`; `None`
+    /// once that instruction has committed or been squashed.
+    #[inline]
+    pub fn get(&self, pos: u32, token: u64) -> Option<&RobEntry> {
+        self.entries
+            .get(pos.wrapping_sub(self.head_pos) as usize)
+            .filter(|e| e.token == token)
     }
 
-    /// Find an entry by token, scanning from the head. Tokens are
-    /// strictly increasing in program order ([`Rob::push`] asserts it),
-    /// so a binary search would also work — but completions and memory
-    /// returns overwhelmingly resolve instructions near the head, where
-    /// a forward linear scan finds them in a couple of probes (measured
-    /// faster than `VecDeque::binary_search_by`'s ~8 scattered ones).
-    pub fn find_mut(&mut self, token: u64) -> Option<&mut RobEntry> {
-        self.entries.iter_mut().find(|e| e.token == token)
+    /// Mutable [`Rob::get`].
+    #[inline]
+    pub fn get_mut(&mut self, pos: u32, token: u64) -> Option<&mut RobEntry> {
+        self.entries
+            .get_mut(pos.wrapping_sub(self.head_pos) as usize)
+            .filter(|e| e.token == token)
     }
 
-    /// Index of `token`, by binary search on the strictly-increasing
-    /// token order. The issue stage resolves candidates through this:
-    /// freshly-woken instructions sit near the *tail* of a deep ROB,
-    /// where the head-first scan of [`Rob::find_mut`] degenerates. The
-    /// index stays valid only until the next push/pop/squash.
+    /// Index of `token` from the head, by binary search on the
+    /// strictly-increasing token order. For callers that hold a bare
+    /// token and no position (the policy's FLUSH action names only the
+    /// offending load); everything the core parks for later uses a
+    /// [`Rob::get`] handle instead.
     pub fn index_of(&self, token: u64) -> Option<usize> {
         let (mut lo, mut hi) = (0usize, self.entries.len());
         while lo < hi {
@@ -193,25 +211,14 @@ impl Rob {
         None
     }
 
-    /// Entry at `index` (from [`Rob::index_of`]).
-    pub fn entry_at(&self, index: usize) -> &RobEntry {
-        &self.entries[index]
-    }
-
-    /// Mutable entry at `index` (from [`Rob::index_of`]).
-    pub fn entry_at_mut(&mut self, index: usize) -> &mut RobEntry {
-        &mut self.entries[index]
-    }
-
-    /// [`find_mut`](Self::find_mut) for tokens the core knows are
-    /// resident. Invariant: every token parked in the issue queues, the
-    /// exec heap or `req_map` is removed from those structures by the
-    /// same squash that removes its ROB entry, so a tracked token
-    /// always resolves. Centralising the panic here keeps the cycle
-    /// loop's call sites free of bare `unwrap()`s (lint rule D3).
-    pub fn tracked_mut(&mut self, token: u64) -> &mut RobEntry {
-        // lint: allow(D3) -- documented invariant: tracked tokens are evicted from side structures before their ROB entry
-        self.find_mut(token).expect("tracked token resident in ROB")
+    /// An empty ROB whose first push lands at position `head_pos`, so
+    /// tests can cross the `u32` wrap in a few pushes.
+    #[cfg(test)]
+    fn starting_at(capacity: usize, head_pos: u32) -> Self {
+        Rob {
+            head_pos,
+            ..Rob::new(capacity)
+        }
     }
 }
 
@@ -307,16 +314,66 @@ mod tests {
     }
 
     #[test]
-    fn find_mut_locates_entry() {
+    fn handle_survives_later_pushes_and_head_pops() {
         let mut r = Rob::new(8);
-        for t in 0..5 {
+        let pos: Vec<u32> = (0..5).map(|t| r.push(entry(t))).collect();
+        assert_eq!(pos, vec![0, 1, 2, 3, 4]);
+        r.get_mut(pos[3], 3).unwrap().state = InstrState::Done;
+        r.pop_head();
+        r.pop_head();
+        assert_eq!(r.push(entry(5)), 5);
+        assert_eq!(r.get(pos[3], 3).unwrap().state, InstrState::Done);
+        assert_eq!(r.get(pos[4], 4).unwrap().token, 4);
+        assert!(r.get(pos[3], 99).is_none(), "token must match");
+    }
+
+    #[test]
+    fn handle_misses_after_commit() {
+        let mut r = Rob::new(8);
+        let p0 = r.push(entry(0));
+        let p1 = r.push(entry(1));
+        assert_eq!(r.pop_head().unwrap().token, 0);
+        assert!(r.get(p0, 0).is_none());
+        assert!(r.get_mut(p0, 0).is_none());
+        assert!(r.get(p1, 1).is_some());
+    }
+
+    #[test]
+    fn handle_misses_after_squash_refills_its_position() {
+        let mut r = Rob::new(8);
+        for t in 0..3 {
             r.push(entry(t));
         }
-        r.find_mut(3).unwrap().state = InstrState::Done;
+        let p3 = r.push(entry(3));
+        let mut removed = Vec::new();
+        r.squash_younger_into(2, &mut removed);
+        assert!(r.get(p3, 3).is_none(), "squashed past the tail");
+        // Replayed instructions get fresh tokens at the same positions.
+        assert_eq!(r.push(entry(10)), p3);
+        assert!(r.get(p3, 3).is_none(), "stale token at a refilled position");
+        assert_eq!(r.get(p3, 10).unwrap().token, 10);
+    }
+
+    #[test]
+    fn handles_work_across_position_wraparound() {
+        let mut r = Rob::starting_at(4, u32::MAX - 1);
+        let handles: Vec<(u32, u64)> = (0..4).map(|t| (r.push(entry(t)), t)).collect();
         assert_eq!(
-            r.iter().find(|e| e.token == 3).unwrap().state,
-            InstrState::Done
+            handles.iter().map(|h| h.0).collect::<Vec<_>>(),
+            vec![u32::MAX - 1, u32::MAX, 0, 1]
         );
-        assert!(r.find_mut(99).is_none());
+        for &(p, t) in &handles {
+            assert_eq!(r.get(p, t).unwrap().token, t);
+        }
+        for t in 0..3 {
+            assert_eq!(r.pop_head().unwrap().token, t);
+        }
+        for &(p, t) in &handles[..3] {
+            assert!(r.get(p, t).is_none(), "committed handle {p} must miss");
+        }
+        assert_eq!(r.push(entry(4)), 2);
+        assert_eq!(r.get(1, 3).unwrap().token, 3);
+        assert_eq!(r.get(2, 4).unwrap().token, 4);
+        assert_eq!(r.index_of(4), Some(1));
     }
 }

@@ -132,6 +132,15 @@ if ! diff <("$BC" --table BENCH_cycleloop.json) <(cycleloop_table_in_doc); then
 fi
 echo "PERFORMANCE.md table matches BENCH_cycleloop.json"
 
+echo "== benchmark work counts (deterministic gate) =="
+# Gate 9: the repository benchmark's exact check (perfbench/README.md).
+# Re-runs seed 0 of every benchmark workload without timing and
+# compares every result digest and per-layer work count with
+# perfbench/expected/seed0.tsv; any difference FAILS the build. A
+# performance change must leave all of them unchanged. After an
+# intended change to simulated behaviour, `--bless` rewrites the file.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- --check-counts
+
 echo "== rustdoc (-D warnings) =="
 # Gate 6: the API reference must build warning-free (missing docs on
 # the core/obs surfaces are warnings via #![warn(missing_docs)], and
