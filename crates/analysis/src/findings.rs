@@ -29,8 +29,6 @@ pub enum Rule {
     /// Every registered metric must be documented in METRICS.md, and
     /// METRICS.md must not document metrics that no longer exist.
     D8,
-    /// No reduced-fidelity components in golden-figure drivers.
-    D9,
     /// No heap allocation reachable from the cycle-loop roots
     /// (call-graph scope).
     D10,
@@ -46,7 +44,7 @@ pub enum Rule {
 }
 
 /// All rules, in id order.
-pub const ALL_RULES: [Rule; 13] = [
+pub const ALL_RULES: [Rule; 12] = [
     Rule::D1,
     Rule::D2,
     Rule::D3,
@@ -55,7 +53,6 @@ pub const ALL_RULES: [Rule; 13] = [
     Rule::D6,
     Rule::D7,
     Rule::D8,
-    Rule::D9,
     Rule::D10,
     Rule::D11,
     Rule::D12,
@@ -74,7 +71,6 @@ impl Rule {
             Rule::D6 => "D6",
             Rule::D7 => "D7",
             Rule::D8 => "D8",
-            Rule::D9 => "D9",
             Rule::D10 => "D10",
             Rule::D11 => "D11",
             Rule::D12 => "D12",
@@ -93,7 +89,6 @@ impl Rule {
             Rule::D6 => "no floating-point cycle/counter struct fields or float accumulation into counters",
             Rule::D7 => "no catch_unwind outside crates/core/src/sweep.rs (panic isolation has one blessed boundary)",
             Rule::D8 => "every registered MetricSpec name must appear in METRICS.md, and METRICS.md must not list unregistered metrics",
-            Rule::D9 => "no reduced-fidelity components (FastMemory, IpcApproxCore, FastTraceGenerator, with_fidelity) in golden-figure drivers without an inline waiver",
             Rule::D10 => "no heap allocation (Vec::new, vec!, Box::new, clone, format!, to_string, collect, ...) in functions reachable from the cycle-loop roots",
             Rule::D11 => "no panic site (unwrap/expect outside D3's hot files, panic!, unreachable!) in functions reachable from a run/sweep entry point",
             Rule::D12 => "no nondeterminism source (wall-clock call, hash-ordered collection) reachable from sim state where D1/D2 do not already apply",
@@ -136,17 +131,12 @@ other file, test code included (tests assert panics with #[should_panic]).",
             Rule::D8 => "METRICS.md is generated from the metric registry; drift in either \
 direction means the docs lie. Scope: the registry/doc pair. Fix: re-bless METRICS.md \
 (BLESS=1) or remove the stale doc row.",
-            Rule::D9 => "Golden-figure drivers reproduce published numbers, which only the \
-detailed models produce; a reduced-fidelity component there is assumed to be a mistake. \
-Scope: the declared golden-figure file list. Fix: move fidelity studies to their own driver \
-or waive with the stated reason.",
             Rule::D10 => "A heap allocation inside the cycle loop costs allocator traffic \
 every simulated cycle — the single biggest obstacle to the cycles/sec target (ROADMAP item \
 1). Scope: call-graph — allocation sites (Vec::new, vec!, Box::new, .clone(), format!, \
 to_string, collect, String::from, to_vec, to_owned, with_capacity) inside non-test functions \
 transitively reachable from a cycle-loop root: Simulator::step, SmtCore::tick, \
-DetailedCore::tick, IpcApproxCore::tick, MemoryModel::tick, MemorySystem::tick, \
-FastMemory::tick. Findings print the full call chain from the root. Fix: hoist into a \
+MemorySystem::tick. Findings print the full call chain from the root. Fix: hoist into a \
 reusable scratch buffer on the owning struct; for cold diagnostic paths, waive at the site \
 or put a function-scope waiver on the subtree's entry fn.",
             Rule::D11 => "A panic reachable from a run/sweep entry point can kill a job \
@@ -194,7 +184,7 @@ pub struct Finding {
     pub message: String,
     /// For call-graph rules (D3 graph scope, D10–D12): the shortest
     /// call chain from a root to the function containing the site,
-    /// root first (`["Simulator::step", "DetailedCore::tick", …]`).
+    /// root first (`["Simulator::step", "SmtCore::tick", …]`).
     /// Empty for file-scoped rules.
     pub chain: Vec<String>,
     /// Suppressed by an inline waiver or a baseline entry.

@@ -13,7 +13,7 @@ use crate::findings::{Rule, ALL_RULES};
 /// How a rule decides what code it judges.
 pub fn scope_kind(rule: Rule) -> &'static str {
     match rule {
-        Rule::D1 | Rule::D2 | Rule::D5 | Rule::D6 | Rule::D7 | Rule::D9 => "file",
+        Rule::D1 | Rule::D2 | Rule::D5 | Rule::D6 | Rule::D7 => "file",
         Rule::D4 => "cross-file",
         Rule::D8 => "registry/doc pair",
         Rule::D3 | Rule::D10 | Rule::D11 | Rule::D12 => "call-graph",

@@ -5,15 +5,12 @@
 //!
 //! ```text
 //! bench_profile [--workload 4W3] [--policy mflush] [--cycles N]
-//!               [--fidelity mem=fast,core=approx]
 //!               [--plain] [--json] [--baseline BENCH_baseline.json]
 //! ```
 //!
-//! `--fidelity` selects the reduced-fidelity components (same grammar
-//! as `smtsim run`); `--plain` turns the observability layer off so
-//! the measurement isolates the *model* cost (per-event tracing scales
-//! with committed instructions, taxing high-IPC reduced-fidelity runs
-//! disproportionately); `--json` emits one machine-readable record (the
+//! `--plain` turns the observability layer off so the measurement
+//! isolates the *model* cost (per-event tracing scales with committed
+//! instructions); `--json` emits one machine-readable record (the
 //! format stored in `BENCH_baseline.json`); `--baseline` compares the
 //! measured host time against the matching recorded entry and prints
 //! the delta. The comparison is informational — host times are
@@ -21,14 +18,13 @@
 
 use smtsim_bench::profile::{profile_run, profile_run_plain};
 use smtsim_core::json::parse_json;
-use smtsim_core::{Fidelity, SimConfig, Simulator, Workload};
+use smtsim_core::{SimConfig, Simulator, Workload};
 use smtsim_policy::PolicyKind;
 
 fn main() {
     let mut workload = String::from("4W3");
     let mut policy = String::from("mflush");
     let mut cycles: u64 = smtsim_core::config::DEFAULT_CYCLES;
-    let mut fidelity = Fidelity::detailed();
     let mut json = false;
     let mut plain = false;
     let mut baseline: Option<String> = None;
@@ -37,7 +33,6 @@ fn main() {
     let usage = || -> ! {
         eprintln!(
             "usage: bench_profile [--workload <xWy>] [--policy <p>] [--cycles N]\n\
-             \x20                    [--fidelity mem=<detailed|fast>,core=<detailed|approx>]\n\
              \x20                    [--plain] [--json] [--baseline FILE]"
         );
         std::process::exit(2);
@@ -55,12 +50,6 @@ fn main() {
             "--cycles" => {
                 cycles = next("cycles").parse().unwrap_or_else(|_| {
                     eprintln!("bad --cycles value");
-                    usage();
-                })
-            }
-            "--fidelity" => {
-                fidelity = Fidelity::parse(&next("fidelity")).unwrap_or_else(|e| {
-                    eprintln!("bad value for --fidelity: {e}");
                     usage();
                 })
             }
@@ -93,14 +82,11 @@ fn main() {
             }
         }
     };
-    let cfg = SimConfig::for_workload(w, policy_kind)
-        .with_cycles(cycles)
-        .with_fidelity(fidelity);
+    let cfg = SimConfig::for_workload(w, policy_kind).with_cycles(cycles);
     if let Err(e) = Simulator::build(&cfg) {
         eprintln!("invalid configuration: {e}");
         std::process::exit(2);
     }
-    let label = fidelity.label();
     let run = if plain { profile_run_plain } else { profile_run };
     match run(&cfg) {
         Ok((prof, result)) => {
@@ -108,15 +94,14 @@ fn main() {
             if json {
                 println!(
                     "{{\"workload\": \"{workload}\", \"policy\": \"{policy}\", \
-                     \"cycles\": {cycles}, \"fidelity\": \"{label}\", \
-                     \"host_seconds\": {seconds:.4}, \"ipc\": {:.4}}}",
+                     \"cycles\": {cycles}, \"host_seconds\": {seconds:.4}, \"ipc\": {:.4}}}",
                     result.throughput()
                 );
             } else {
                 print!(
                     "{}",
                     prof.report(&format!(
-                        "Host-time per pipeline phase ({workload}/{policy}/{label}, {cycles} cycles)"
+                        "Host-time per pipeline phase ({workload}/{policy}, {cycles} cycles)"
                     ))
                 );
                 println!(
@@ -126,7 +111,7 @@ fn main() {
                 );
             }
             if let Some(path) = baseline {
-                compare_baseline(&path, &workload, &policy, cycles, &label, seconds);
+                compare_baseline(&path, &workload, &policy, cycles, seconds);
             }
         }
         Err(e) => {
@@ -144,7 +129,6 @@ fn compare_baseline(
     workload: &str,
     policy: &str,
     cycles: u64,
-    fidelity: &str,
     seconds: f64,
 ) {
     let doc = match std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|s| parse_json(&s)) {
@@ -159,18 +143,17 @@ fn compare_baseline(
         e.get("workload").and_then(|v| v.as_str()) == Some(workload)
             && e.get("policy").and_then(|v| v.as_str()) == Some(policy)
             && e.get("cycles").and_then(|v| v.as_u64()) == Some(cycles)
-            && e.get("fidelity").and_then(|v| v.as_str()) == Some(fidelity)
     });
     match found.and_then(|e| e.get("host_seconds").and_then(|v| v.as_f64())) {
         Some(base) if base > 0.0 => {
             let delta = 100.0 * (seconds - base) / base;
             println!(
-                "baseline {workload}/{policy}/{fidelity}: {base:.3}s recorded, \
+                "baseline {workload}/{policy}: {base:.3}s recorded, \
                  {seconds:.3}s now ({delta:+.1}%; informational, not a gate)"
             );
         }
         _ => println!(
-            "baseline {path}: no entry for {workload}/{policy}/{fidelity} @ {cycles} cycles"
+            "baseline {path}: no entry for {workload}/{policy} @ {cycles} cycles"
         ),
     }
 }

@@ -98,10 +98,9 @@ pub fn profile_run(cfg: &SimConfig) -> Result<(PhaseProfile, SimResult), SimErro
 
 /// Like [`profile_run`] but with the observability layer off (no event
 /// tracing, no interval metrics): build / simulate / snapshot only.
-/// This is the mode for comparing *model* cost across fidelities — the
-/// per-event tracing overhead scales with committed instructions, so
-/// it taxes a high-IPC reduced-fidelity run disproportionately and
-/// would understate the model speedup it exists to measure.
+/// This is the mode for measuring *model* cost — the per-event
+/// tracing overhead scales with committed instructions, so it would
+/// blur a comparison between runs of different IPC.
 pub fn profile_run_plain(cfg: &SimConfig) -> Result<(PhaseProfile, SimResult), SimError> {
     let mut prof = PhaseProfile::new();
     let mut sim = prof.time("build", || Simulator::build(cfg))?;

@@ -365,4 +365,21 @@ mod tests {
         assert_ne!(config_fingerprint(&a), config_fingerprint(&c));
         assert_eq!(config_fingerprint(&a).len(), 16);
     }
+
+    #[test]
+    fn default_config_json_and_fingerprint_are_pinned() {
+        // Every sweep journal and serve cache keys on this fingerprint,
+        // so a change to the canonical config JSON turns every stored
+        // entry into a miss. Such a change must be deliberate: update
+        // both literals and say so in the change log.
+        let w = Workload::by_name("2W1").unwrap();
+        let cfg = SimConfig::for_workload(w, PolicyKind::Icount);
+        assert_eq!(
+            cfg.to_json(),
+            "{\"policy\":\"ICOUNT\",\"benchmarks\":[\"vpr\",\"vortex\"],\"cycles\":150000,\
+             \"seed\":24301,\"warmup\":true,\"watchdog_cycles\":50000,\"skip_ahead\":true,\
+             \"cores\":1,\"contexts_per_core\":2,\"l2_banks\":4,\"l2_clusters\":1}"
+        );
+        assert_eq!(config_fingerprint(&cfg), "f97df6be1fb4697c");
+    }
 }

@@ -1,7 +1,7 @@
 //! Experiment configuration.
 
 use crate::suggest::did_you_mean;
-use crate::topology::{Fidelity, Topology};
+use crate::topology::Topology;
 use crate::workloads::Workload;
 use smtsim_cpu::CoreConfig;
 use smtsim_mem::MemConfig;
@@ -45,9 +45,8 @@ pub const DEFAULT_METRICS_INTERVAL: u64 = 10_000;
 /// One complete experiment: machine + workload + policy + interval.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Explicit machine geometry and per-component fidelity
-    /// (DESIGN.md §13). `validate` cross-checks `core`, `mem` and the
-    /// benchmark list against it.
+    /// Explicit machine geometry. `validate` cross-checks `core`, `mem`
+    /// and the benchmark list against it.
     pub topology: Topology,
     /// Per-core configuration (Fig. 1 defaults).
     pub core: CoreConfig,
@@ -136,17 +135,6 @@ impl SimConfig {
     pub fn with_skip_ahead(mut self, skip_ahead: bool) -> Self {
         self.skip_ahead = skip_ahead;
         self
-    }
-
-    /// Builder-style override of the per-component fidelity.
-    pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.topology.fidelity = fidelity;
-        self
-    }
-
-    /// The per-component fidelity this experiment runs at.
-    pub fn fidelity(&self) -> Fidelity {
-        self.topology.fidelity
     }
 
     /// Number of SMT cores — the declared topology, not a division of
@@ -314,17 +302,6 @@ mod tests {
         cfg.benchmarks.truncate(2);
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("topology has 4 threads"), "{err}");
-    }
-
-    #[test]
-    fn fidelity_defaults_detailed_and_overrides() {
-        use crate::topology::Fidelity;
-        let w = Workload::by_name("2W1").unwrap();
-        let cfg = SimConfig::for_workload(w, PolicyKind::Icount);
-        assert_eq!(cfg.fidelity(), Fidelity::detailed());
-        let cfg = cfg.with_fidelity(Fidelity::fast());
-        assert_eq!(cfg.fidelity(), Fidelity::fast());
-        cfg.validate().unwrap();
     }
 
     #[test]

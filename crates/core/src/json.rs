@@ -665,8 +665,7 @@ impl ToJson for SimConfig {
             // emitting the core-side field keeps `core` in the report.
             .field("contexts_per_core", &self.core.contexts)
             .field("l2_banks", &self.mem.l2_banks)
-            .field("l2_clusters", &self.topology.l2_clusters)
-            .field("fidelity", &self.topology.fidelity.label());
+            .field("l2_clusters", &self.topology.l2_clusters);
         o.end();
     }
 }

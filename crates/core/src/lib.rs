@@ -4,7 +4,7 @@
 //!
 //! Assembles the full machine of the paper: `N` two-context SMT cores
 //! ([`smtsim_cpu::SmtCore`]) sharing one banked L2 behind
-//! ([`smtsim_mem::MemoryModel`]), each core running a pluggable fetch
+//! ([`smtsim_mem::MemorySystem`]), each core running a pluggable fetch
 //! policy ([`smtsim_policy`]), fed by synthetic SPEC2000 traces
 //! ([`smtsim_trace`]), with the paper's energy accounting
 //! ([`smtsim_energy`]).
@@ -12,8 +12,7 @@
 //! * [`workloads`] — the paper's Fig. 1 workload table (2W1 … 8W5) plus
 //!   the Fig. 5(b) special bzip2/twolf workload;
 //! * [`topology`] — explicit machine geometry (cores, contexts per
-//!   core, L2 clusters) plus the per-component fidelity selection
-//!   (DESIGN.md §13), with a validating builder;
+//!   core, L2 clusters), with a validating builder;
 //! * [`config`] — one [`config::SimConfig`] describes a complete
 //!   experiment (topology + machine + workload + policy + interval);
 //! * [`sim`] — the cycle-level driver;
@@ -48,7 +47,7 @@ pub use error::{CoreDiagnostic, ProgressDiagnostic, SimError};
 pub use json::ToJson;
 pub use obs::{MetricsRecorder, TraceRow};
 pub use config::SimConfig;
-pub use topology::{CoreFidelity, Fidelity, MemFidelity, Topology, TopologyBuilder};
+pub use topology::{Topology, TopologyBuilder};
 pub use result::SimResult;
 pub use sim::Simulator;
 pub use sweep::{run_sweep, run_sweep_journaled, run_sweep_ok, SweepJob};

@@ -1,13 +1,9 @@
 //! The cycle-level CMP+SMT simulator.
 //!
 //! A [`Simulator`] owns `N` [`SmtCore`]s and the shared
-//! [`MemoryModel`]. Each cycle the memory system advances first, then
+//! [`MemorySystem`]. Each cycle the memory system advances first, then
 //! every core, in id order — matching the in-order tick protocol the
-//! component crates document. Which implementation sits behind each
-//! facade — the detailed golden-figure models or the reduced
-//! fast-forward ones — is chosen by the config's
-//! [`crate::topology::Topology`] fidelity section (DESIGN.md §13);
-//! the driver itself is fidelity-agnostic.
+//! component crates document.
 //!
 //! The cycle loop carries a forward-progress watchdog: if no core
 //! commits an instruction and no memory transaction retires for
@@ -23,17 +19,16 @@ use crate::result::SimResult;
 use smtsim_obs::MetricSample;
 use smtsim_cpu::thread::ThreadProgram;
 use smtsim_cpu::SmtCore;
-use smtsim_mem::MemoryModel;
+use smtsim_mem::MemorySystem;
 
 use smtsim_policy::build_policy;
-use smtsim_cpu::CoreFidelity;
-use smtsim_trace::{spec, FastTraceGenerator, TraceGenerator};
+use smtsim_trace::{spec, TraceGenerator};
 
 /// A built machine ready to run.
 pub struct Simulator {
     cfg: SimConfig,
     cores: Vec<SmtCore>,
-    mem: MemoryModel,
+    mem: MemorySystem,
     now: u64,
     /// Per-core committed-instruction count at the last observation.
     last_committed: Vec<u64>,
@@ -59,8 +54,7 @@ impl Simulator {
         cfg.validate().map_err(SimError::InvalidConfig)?;
         let env = cfg.policy_env();
         let contexts = cfg.core.contexts as usize;
-        let fidelity = cfg.fidelity();
-        let mem = MemoryModel::new(cfg.mem, fidelity.mem);
+        let mem = MemorySystem::new(cfg.mem);
         let num_cores = cfg.cores() as usize;
         let mut cores = Vec::with_capacity(num_cores);
         for core_id in 0..cfg.cores() {
@@ -73,18 +67,9 @@ impl Simulator {
                     || SimError::InvalidConfig(format!("unknown benchmark {}", cfg.benchmarks[global])),
                 )?;
                 let seed = cfg.seed + global as u64 * 7919;
-                // The IPC-approx backend reads no register operands, so
-                // it gets the dependency-free generator (same code
-                // layout and address-stream shape, far cheaper per
-                // instruction — DESIGN.md §13).
-                programs.push(if fidelity.core == CoreFidelity::IpcApprox {
-                    ThreadProgram::from_fast_generator(FastTraceGenerator::new(profile, seed))
-                } else {
-                    ThreadProgram::from_generator(TraceGenerator::new(profile, seed))
-                });
+                programs.push(ThreadProgram::from_generator(TraceGenerator::new(profile, seed)));
             }
-            cores.push(SmtCore::with_fidelity(
-                fidelity.core,
+            cores.push(SmtCore::new(
                 core_id,
                 cfg.core,
                 build_policy(cfg.policy, &env),
@@ -366,8 +351,8 @@ impl Simulator {
         &self.cores
     }
 
-    /// The shared memory model.
-    pub fn mem(&self) -> &MemoryModel {
+    /// The shared memory hierarchy.
+    pub fn mem(&self) -> &MemorySystem {
         &self.mem
     }
 }

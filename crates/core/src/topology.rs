@@ -1,133 +1,28 @@
-//! Explicit machine topology: geometry plus per-component fidelity.
+//! Explicit machine topology.
 //!
-//! Before the pluggable-fidelity refactor (DESIGN.md §13) a
-//! [`crate::config::SimConfig`]'s geometry was *implicit*: the core
-//! count was derived on the fly by dividing the benchmark list length
-//! by `core.contexts` (truncating!), and the L2 cluster count lived
-//! only inside `MemConfig`. A [`Topology`] names that geometry up
-//! front — cores, contexts per core, L2 clusters — together with the
-//! fidelity each component model runs at, and validation checks the
-//! rest of the configuration *against* it instead of re-deriving it.
+//! A [`crate::config::SimConfig`]'s geometry used to be *implicit*: the
+//! core count was derived on the fly by dividing the benchmark list
+//! length by `core.contexts` (truncating!), and the L2 cluster count
+//! lived only inside `MemConfig`. A [`Topology`] names that geometry up
+//! front — cores, contexts per core, L2 clusters — and validation
+//! checks the rest of the configuration *against* it instead of
+//! re-deriving it.
 //!
 //! Build one with [`TopologyBuilder`]:
 //!
 //! ```
-//! use smtsim_core::topology::{Fidelity, Topology};
+//! use smtsim_core::topology::Topology;
 //!
 //! let t = Topology::builder()
 //!     .cores(4)
 //!     .contexts_per_core(2)
 //!     .l2_clusters(1)
-//!     .fidelity(Fidelity::parse("mem=fast,core=approx").unwrap())
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(t.threads(), 8);
 //! ```
 
-pub use smtsim_cpu::CoreFidelity;
-pub use smtsim_mem::MemFidelity;
-
-/// Which model implementation each swappable component runs at.
-///
-/// The default — detailed memory and detailed cores — is the
-/// golden-figure configuration and reproduces pre-refactor results
-/// byte for byte (`crates/core/tests/fidelity.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fidelity {
-    /// Memory-hierarchy model ([`smtsim_mem::MemoryModel`] variant).
-    pub mem: MemFidelity,
-    /// Core backend ([`smtsim_cpu::CoreBackend`] variant).
-    pub core: CoreFidelity,
-}
-
-impl Fidelity {
-    /// Both components detailed: the golden-figure configuration.
-    pub fn detailed() -> Fidelity {
-        Fidelity::default()
-    }
-
-    /// Both components reduced: the fast-forward configuration.
-    pub fn fast() -> Fidelity {
-        Fidelity {
-            mem: MemFidelity::Fast,
-            core: CoreFidelity::IpcApprox,
-        }
-    }
-
-    /// `true` when any component runs below detailed fidelity.
-    pub fn is_reduced(&self) -> bool {
-        *self != Fidelity::detailed()
-    }
-
-    /// Canonical spelling, accepted back by [`Fidelity::parse`]:
-    /// `"mem=detailed,core=approx"`.
-    pub fn label(&self) -> String {
-        format!("mem={},core={}", self.mem.as_str(), self.core.as_str())
-    }
-
-    /// Parse a `--fidelity` override: comma-separated `mem=<f>` /
-    /// `core=<f>` assignments in any order, each optional (omitted
-    /// components stay detailed). Unknown components or fidelity names
-    /// are errors, with the valid spellings named in the message.
-    pub fn parse(s: &str) -> Result<Fidelity, String> {
-        let mut out = Fidelity::default();
-        for part in s.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (component, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad fidelity assignment '{part}' (want component=value, e.g. mem=fast)"))?;
-            match component {
-                "mem" => {
-                    out.mem = MemFidelity::parse(value).ok_or_else(|| {
-                        format!("unknown mem fidelity '{value}' (want detailed or fast)")
-                    })?;
-                }
-                "core" => {
-                    out.core = CoreFidelity::parse(value).ok_or_else(|| {
-                        format!("unknown core fidelity '{value}' (want detailed or approx)")
-                    })?;
-                }
-                other => {
-                    return Err(format!(
-                        "unknown fidelity component '{other}' (want mem or core)"
-                    ));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Pull a `--fidelity <value>` / `--fidelity=<value>` override out
-    /// of a positional argument list, leaving the remaining arguments
-    /// in place. Absent flag → detailed. Shared by the examples, which
-    /// otherwise parse positionally; the `smtsim` CLI has its own
-    /// flag parser and calls [`Fidelity::parse`] directly.
-    pub fn extract_from_args(args: &mut Vec<String>) -> Result<Fidelity, String> {
-        let mut i = 0;
-        while i < args.len() {
-            if let Some(v) = args[i].strip_prefix("--fidelity=") {
-                let f = Fidelity::parse(v)?;
-                args.remove(i);
-                return Ok(f);
-            }
-            if args[i] == "--fidelity" {
-                if i + 1 >= args.len() {
-                    return Err("--fidelity needs a value (e.g. mem=fast,core=approx)".into());
-                }
-                let f = Fidelity::parse(&args[i + 1])?;
-                args.drain(i..i + 2);
-                return Ok(f);
-            }
-            i += 1;
-        }
-        Ok(Fidelity::detailed())
-    }
-}
-
-/// The machine's explicit geometry and per-component fidelity.
+/// The machine's explicit geometry.
 ///
 /// Constructed by [`TopologyBuilder`] (which validates) or the
 /// [`Topology::paper`] shorthand; carried by
@@ -143,19 +38,16 @@ pub struct Topology {
     /// L2 clusters the cores are partitioned over; must match
     /// `MemConfig::l2_clusters` and divide `cores`.
     pub l2_clusters: u32,
-    /// Fidelity each component model runs at.
-    pub fidelity: Fidelity,
 }
 
 impl Topology {
     /// The paper's Fig. 1 geometry for `cores` two-context cores on
-    /// one shared L2, at detailed fidelity.
+    /// one shared L2.
     pub fn paper(cores: u32) -> Topology {
         Topology {
             cores,
             contexts_per_core: 2,
             l2_clusters: 1,
-            fidelity: Fidelity::detailed(),
         }
     }
 
@@ -221,12 +113,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Set the per-component fidelity.
-    pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.topo.fidelity = fidelity;
-        self
-    }
-
     /// Validate and return the topology.
     pub fn build(self) -> Result<Topology, String> {
         self.topo.validate()?;
@@ -255,63 +141,5 @@ mod tests {
         let err = Topology::builder().cores(3).l2_clusters(2).build().unwrap_err();
         assert!(err.contains("3 cores"), "{err}");
         assert!(Topology::builder().cores(4).l2_clusters(2).build().is_ok());
-    }
-
-    #[test]
-    fn fidelity_labels_round_trip() {
-        for f in [
-            Fidelity::detailed(),
-            Fidelity::fast(),
-            Fidelity {
-                mem: MemFidelity::Fast,
-                core: CoreFidelity::Detailed,
-            },
-        ] {
-            assert_eq!(Fidelity::parse(&f.label()).unwrap(), f);
-        }
-        assert!(!Fidelity::detailed().is_reduced());
-        assert!(Fidelity::fast().is_reduced());
-    }
-
-    #[test]
-    fn fidelity_parse_accepts_partial_and_rejects_unknown() {
-        let f = Fidelity::parse("mem=fast").unwrap();
-        assert_eq!(f.mem, MemFidelity::Fast);
-        assert_eq!(f.core, CoreFidelity::Detailed);
-        let f = Fidelity::parse("core=approx").unwrap();
-        assert_eq!(f.mem, MemFidelity::Detailed);
-        assert_eq!(f.core, CoreFidelity::IpcApprox);
-        assert_eq!(Fidelity::parse("").unwrap(), Fidelity::detailed());
-
-        assert!(Fidelity::parse("mem=warp9").unwrap_err().contains("mem fidelity"));
-        assert!(Fidelity::parse("core=fast").unwrap_err().contains("core fidelity"));
-        assert!(Fidelity::parse("gpu=fast").unwrap_err().contains("component"));
-        assert!(Fidelity::parse("fast").unwrap_err().contains("component=value"));
-    }
-
-    #[test]
-    fn extract_from_args_strips_the_flag_and_keeps_positionals() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-
-        let mut args = to_args(&["4W3", "--fidelity", "mem=fast,core=approx", "50000"]);
-        assert_eq!(Fidelity::extract_from_args(&mut args).unwrap(), Fidelity::fast());
-        assert_eq!(args, to_args(&["4W3", "50000"]));
-
-        let mut args = to_args(&["--fidelity=core=approx", "2W1"]);
-        let f = Fidelity::extract_from_args(&mut args).unwrap();
-        assert_eq!(f.core, CoreFidelity::IpcApprox);
-        assert_eq!(args, to_args(&["2W1"]));
-
-        let mut args = to_args(&["4W3"]);
-        assert_eq!(
-            Fidelity::extract_from_args(&mut args).unwrap(),
-            Fidelity::detailed()
-        );
-        assert_eq!(args, to_args(&["4W3"]));
-
-        let mut args = to_args(&["--fidelity"]);
-        assert!(Fidelity::extract_from_args(&mut args).unwrap_err().contains("needs a value"));
-        let mut args = to_args(&["--fidelity", "mem=warp9"]);
-        assert!(Fidelity::extract_from_args(&mut args).is_err());
     }
 }

@@ -1,23 +1,18 @@
-//! Pluggable-fidelity equivalence and robustness suite (DESIGN.md §13).
+//! Detailed-model golden outputs and topology robustness.
 //!
-//! The refactor's load-bearing invariant: with
-//! `fidelity = mem=detailed,core=detailed` (the default), every code
-//! path — single run, policy sweep, journaled sweep with replay —
-//! reproduces the pre-refactor output **byte for byte**. The fixtures
-//! under `fixtures/fidelity/` were captured from the pre-refactor
-//! binary (CLI default seed `0x5eed`; the mflush fixture pins
-//! `--seed 7`) and are compared as raw bytes, never as parsed values.
+//! Every code path — single run, policy sweep, journaled sweep with
+//! replay — reproduces the committed output **byte for byte**. The
+//! fixtures under `fixtures/fidelity/` were captured from the binary
+//! that predates the topology refactor (CLI default seed `0x5eed`; the
+//! mflush fixture pins `--seed 7`) and are compared as raw bytes,
+//! never as parsed values.
 //!
-//! The reduced fidelities get the complementary guarantees: same-seed
-//! byte-determinism, and config validation that *returns*
-//! `SimError::InvalidConfig` instead of panicking, whatever geometry a
-//! caller invents.
+//! Config validation *returns* `SimError::InvalidConfig` instead of
+//! panicking, whatever geometry a caller invents.
 
 use smtsim_core::json::{write_escaped, JsonObject};
-use smtsim_core::topology::{CoreFidelity, MemFidelity};
 use smtsim_core::{
-    run_sweep_journaled, Fidelity, SimConfig, SimError, Simulator, SweepJob, ToJson, Topology,
-    Workload,
+    run_sweep_journaled, SimConfig, SimError, Simulator, SweepJob, ToJson, Topology, Workload,
 };
 use smtsim_policy::PolicyKind;
 
@@ -67,11 +62,6 @@ fn detailed_run_reproduces_pre_refactor_goldens() {
         if let Some(s) = seed {
             cfg = cfg.with_seed(s);
         }
-        assert_eq!(
-            cfg.fidelity(),
-            Fidelity::detailed(),
-            "default fidelity must be the golden-figure one"
-        );
         assert_eq!(
             run_stdout(&cfg),
             golden(fixture),
@@ -148,7 +138,7 @@ fn journal_replay_reproduces_pre_refactor_golden() {
     // journal: the replayed results must serialize to the same bytes
     // as the golden — the persistence round-trip is part of the
     // equivalence surface.
-    let dir = std::env::temp_dir().join(format!("smtsim-fidelity-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("smtsim-goldens-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let journal = dir.join("sweep.jsonl");
     let _ = std::fs::remove_file(&journal);
@@ -161,38 +151,6 @@ fn journal_replay_reproduces_pre_refactor_golden() {
 
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_dir(&dir);
-}
-
-#[test]
-fn reduced_fidelity_is_same_seed_byte_deterministic() {
-    let w = Workload::by_name("4W3").unwrap();
-    let cfg = SimConfig::for_workload(w, PolicyKind::Mflush)
-        .with_cycles(50_000)
-        .with_fidelity(Fidelity::fast());
-    let a = run_stdout(&cfg);
-    let b = run_stdout(&cfg.clone());
-    assert_eq!(a, b, "mem=fast,core=approx must be byte-deterministic");
-}
-
-#[test]
-fn mixed_fidelities_run_end_to_end() {
-    // The two off-diagonal combinations are valid machines too.
-    let w = Workload::by_name("2W2").unwrap();
-    for fidelity in [
-        Fidelity { mem: MemFidelity::Fast, core: CoreFidelity::Detailed },
-        Fidelity { mem: MemFidelity::Detailed, core: CoreFidelity::IpcApprox },
-    ] {
-        let cfg = SimConfig::for_workload(w, PolicyKind::Icount)
-            .with_cycles(5_000)
-            .with_fidelity(fidelity);
-        let r = Simulator::build(&cfg).unwrap().run().unwrap();
-        assert!(
-            r.total_committed() > 100,
-            "{} starved: {}",
-            fidelity.label(),
-            r.total_committed()
-        );
-    }
 }
 
 /// Tiny deterministic generator for the fuzz loop below (xorshift64*;

@@ -21,17 +21,14 @@
 //! * loads/stores/ifetches travelling through [`smtsim_mem`]'s shared
 //!   hierarchy.
 //!
-//! Since the pluggable-fidelity refactor (DESIGN.md §13) the pipeline
-//! above lives in [`DetailedCore`]; [`SmtCore`] is a thin front-end
-//! that dispatches to a [`core::CoreBackend`] — either the detailed
-//! pipeline or the reduced [`IpcApproxCore`] commit-rate model — and
-//! cores talk to the memory hierarchy through
-//! [`smtsim_mem::MemoryModel`] rather than a concrete system.
+//! The pipeline lives in [`SmtCore`]; it talks to the shared
+//! [`smtsim_mem::MemorySystem`] for instruction fetches, loads and
+//! stores.
 //!
 //! ```
 //! use smtsim_cpu::thread::ThreadProgram;
 //! use smtsim_cpu::{CoreConfig, SmtCore};
-//! use smtsim_mem::{MemConfig, MemoryModel};
+//! use smtsim_mem::{MemConfig, MemorySystem};
 //! use smtsim_policy::{build_policy, PolicyEnv, PolicyKind};
 //! use smtsim_trace::{spec, TraceGenerator};
 //!
@@ -51,7 +48,7 @@
 //!     build_policy(PolicyKind::Mflush, &PolicyEnv::paper(1)),
 //!     programs,
 //! );
-//! let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+//! let mut mem = MemorySystem::new(MemConfig::paper(1));
 //! core.prewarm(&mut mem);
 //! for now in 0..5_000 {
 //!     mem.tick(now);
@@ -60,12 +57,10 @@
 //! assert!(core.total_committed() > 1_000);
 //! ```
 
-pub mod approx;
 pub mod bpred;
 pub mod btb;
 pub mod config;
 pub mod core;
-pub mod detailed;
 pub mod metrics;
 pub mod ras;
 pub mod regfile;
@@ -73,12 +68,10 @@ pub mod rob;
 pub mod stats;
 pub mod thread;
 
-pub use approx::IpcApproxCore;
 pub use bpred::PerceptronPredictor;
 pub use btb::Btb;
 pub use config::CoreConfig;
-pub use core::{CoreBackend, CoreFidelity, SmtCore};
-pub use detailed::DetailedCore;
+pub use core::SmtCore;
 pub use metrics::METRICS;
 pub use ras::ReturnAddressStack;
 pub use stats::{CoreStats, ThreadProbe, ThreadStats};

@@ -7,7 +7,7 @@
 
 use smtsim_cpu::thread::ThreadProgram;
 use smtsim_cpu::{CoreConfig, SmtCore};
-use smtsim_mem::{MemConfig, MemoryModel};
+use smtsim_mem::{MemConfig, MemorySystem};
 use smtsim_policy::{build_policy, PolicyEnv, PolicyKind};
 use smtsim_trace::{spec, TraceGenerator};
 
@@ -26,7 +26,7 @@ fn make_core(policy: PolicyKind, benchmarks: &[&str], seed: u64) -> SmtCore {
     SmtCore::new(0, CoreConfig::paper(), build_policy(policy, &env), programs)
 }
 
-fn run_from(core: &mut SmtCore, mem: &mut MemoryModel, start: u64, cycles: u64) -> u64 {
+fn run_from(core: &mut SmtCore, mem: &mut MemorySystem, start: u64, cycles: u64) -> u64 {
     if start == 0 {
         core.prewarm(mem);
     }
@@ -37,7 +37,7 @@ fn run_from(core: &mut SmtCore, mem: &mut MemoryModel, start: u64, cycles: u64) 
     start + cycles
 }
 
-fn run(core: &mut SmtCore, mem: &mut MemoryModel, cycles: u64) {
+fn run(core: &mut SmtCore, mem: &mut MemorySystem, cycles: u64) {
     run_from(core, mem, 0, cycles);
 }
 
@@ -58,7 +58,7 @@ fn assert_in_order_exactly_once(log: &[(usize, u64)], contexts: usize) {
 fn single_thread_commits_in_order() {
     let mut core = make_core(PolicyKind::Icount, &["gzip", "eon"], 1);
     core.enable_commit_log();
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     run(&mut core, &mut mem, 20_000);
     let stats = core.stats();
     assert!(
@@ -73,7 +73,7 @@ fn single_thread_commits_in_order() {
 fn deterministic_across_runs() {
     let mk = || {
         let mut core = make_core(PolicyKind::Icount, &["vpr", "twolf"], 7);
-        let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+        let mut mem = MemorySystem::new(MemConfig::paper(1));
         run(&mut core, &mut mem, 10_000);
         core.total_committed()
     };
@@ -94,7 +94,7 @@ fn different_policies_still_commit_correctly() {
     ] {
         let mut core = make_core(policy, &["mcf", "gzip"], 3);
         core.enable_commit_log();
-        let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+        let mut mem = MemorySystem::new(MemConfig::paper(1));
         run(&mut core, &mut mem, 15_000);
         assert!(
             core.total_committed() > 500,
@@ -108,7 +108,7 @@ fn different_policies_still_commit_correctly() {
 #[test]
 fn flush_policy_actually_flushes_on_memory_bound_threads() {
     let mut core = make_core(PolicyKind::FlushSpec(30), &["mcf", "mcf"], 11);
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     run(&mut core, &mut mem, 20_000);
     let stats = core.stats();
     assert!(
@@ -124,7 +124,7 @@ fn flush_policy_actually_flushes_on_memory_bound_threads() {
 #[test]
 fn icount_never_flushes() {
     let mut core = make_core(PolicyKind::Icount, &["mcf", "mcf"], 11);
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     run(&mut core, &mut mem, 15_000);
     let stats = core.stats();
     assert_eq!(stats.flushes_executed, 0);
@@ -140,7 +140,7 @@ fn flush_improves_mixed_workload_over_icount() {
     // effect strongly.
     let throughput = |policy| {
         let mut core = make_core(policy, &["lucas", "wupwise"], 5);
-        let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+        let mut mem = MemorySystem::new(MemConfig::paper(1));
         run(&mut core, &mut mem, 40_000);
         core.total_committed()
     };
@@ -155,7 +155,7 @@ fn flush_improves_mixed_workload_over_icount() {
 #[test]
 fn branch_predictor_learns_on_real_streams() {
     let mut core = make_core(PolicyKind::Icount, &["swim", "wupwise"], 9);
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     run(&mut core, &mut mem, 20_000);
     let acc = core.branch_accuracy();
     assert!(
@@ -169,7 +169,7 @@ fn mispredicts_happen_and_are_recovered() {
     // twolf has weakly-biased branches → real mispredicts.
     let mut core = make_core(PolicyKind::Icount, &["twolf", "vpr"], 13);
     core.enable_commit_log();
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     run(&mut core, &mut mem, 20_000);
     let stats = core.stats();
     let mispredicts: u64 = stats.threads.iter().map(|t| t.mispredicts).sum();
@@ -183,7 +183,7 @@ fn mispredicts_happen_and_are_recovered() {
 #[test]
 fn stall_policy_gates_without_squashing() {
     let mut core = make_core(PolicyKind::StallSpec(30), &["mcf", "mcf"], 17);
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     run(&mut core, &mut mem, 20_000);
     let stats = core.stats();
     assert!(stats.stalls_executed > 0, "mcf must trigger stalls");
@@ -197,7 +197,7 @@ fn stall_policy_gates_without_squashing() {
 #[test]
 fn mflush_runs_and_uses_preventive_state() {
     let mut core = make_core(PolicyKind::Mflush, &["mcf", "art"], 19);
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     run(&mut core, &mut mem, 30_000);
     let stats = core.stats();
     assert!(
@@ -215,7 +215,7 @@ fn resources_stay_balanced_over_long_runs() {
     // Conservation check: after many flushes/mispredicts, the pipeline
     // still commits and queue accounting never deadlocks.
     let mut core = make_core(PolicyKind::FlushSpec(50), &["mcf", "twolf"], 23);
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     let t = run_from(&mut core, &mut mem, 0, 30_000);
     let committed_early = core.total_committed();
     run_from(&mut core, &mut mem, t, 30_000);

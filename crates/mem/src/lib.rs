@@ -50,25 +50,33 @@ pub mod addr;
 pub mod bus;
 pub mod cache;
 pub mod dram;
-pub mod fastmem;
 pub mod fault;
 pub mod histogram;
 pub mod l2bank;
 pub mod metrics;
-pub mod model;
 pub mod mshr;
 pub mod system;
 pub mod tlb;
 pub mod util;
 
 pub use cache::{AccessOutcome, CacheGeometry, ReplacementPolicy, SetAssocCache};
-pub use fastmem::FastMemory;
 pub use fault::FaultPlan;
 pub use histogram::LatencyHistogram;
 pub use metrics::METRICS;
-pub use model::{MemFidelity, MemoryModel};
 pub use system::{
     AccessKind, AccessResult, Completion, CoreMemStats, MemConfig, MemEvent, MemStats,
     MemorySystem, ReqId,
 };
 pub use tlb::Tlb;
+
+/// Alias of [`MemorySystem`], kept only because the `perfbench`
+/// benchmark crate still spells it; it goes when perfbench next
+/// changes. Use [`MemorySystem`] everywhere else.
+pub type MemoryModel = MemorySystem;
+
+impl MemorySystem {
+    /// [`MemorySystem::new`] for the [`MemoryModel`] shim.
+    pub fn detailed(cfg: MemConfig) -> Self {
+        Self::new(cfg)
+    }
+}

@@ -393,13 +393,6 @@ impl FetchPolicy for MflushPolicy {
         self.recent_issues[(token as usize) & (RECENT_ISSUES - 1)] = (token, cycle);
     }
 
-    fn on_load_l1_hit(&mut self, _tid: usize, _token: LoadToken, _pc: u64, _cycle: u64) {
-        // Hit loads never enter the tracking vec, the MCReg only trains
-        // on L2 hits, and Preventive-State release can only be needed
-        // when a *tracked* (miss) load completes — so the default
-        // issue+complete round trip would find nothing to do.
-    }
-
     fn on_l1d_miss(&mut self, tid: usize, token: LoadToken, bank: u32, cycle: u64) {
         // Deadlines count from the *issue* cycle (the access's age per
         // the paper), recovered from the issue ring.

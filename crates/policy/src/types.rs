@@ -95,13 +95,12 @@ pub trait FetchPolicy: Send {
     fn on_l1d_miss(&mut self, _tid: usize, _token: LoadToken, _bank: u32, _cycle: u64) {}
 
     /// A load issued and hit in the L1D, completing in the same cycle.
-    /// Reduced-fidelity cores call this instead of the
-    /// [`Self::on_load_issue`] + [`Self::on_load_complete`] pair; the
-    /// default forwards to both, so a policy that does not override it
-    /// observes the exact sequence the detailed core would deliver.
-    /// Policies on the simulator's hot path may override it with a
-    /// cheaper equivalent (this fires once per L1-hit load — the vast
-    /// majority of memory traffic).
+    /// No simulator core calls this: the core delivers the
+    /// [`Self::on_load_issue`] + [`Self::on_load_complete`] pair for
+    /// every load, and the default forwards to exactly that pair. It
+    /// stays in the trait only because the `perfbench` benchmark crate's
+    /// policy decorator implements it; it goes when perfbench next
+    /// changes.
     fn on_load_l1_hit(&mut self, tid: usize, token: LoadToken, pc: u64, cycle: u64) {
         self.on_load_issue(tid, token, pc, cycle);
         self.on_load_complete(tid, token, 0, None, 3, cycle);

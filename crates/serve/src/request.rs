@@ -16,20 +16,18 @@
 use smtsim_core::config::{DEFAULT_CYCLES, DEFAULT_WATCHDOG};
 use smtsim_core::json::parse_json;
 use smtsim_core::suggest::did_you_mean;
-use smtsim_core::topology::Fidelity;
 use smtsim_core::workloads::{ALL_WORKLOADS, FIG5B_WORKLOAD};
 use smtsim_core::{SimConfig, Workload};
 use smtsim_policy::PolicyKind;
 
 /// Top-level keys a request may carry.
-const KNOWN_KEYS: [&str; 7] = [
+const KNOWN_KEYS: [&str; 6] = [
     "workload",
     "benchmarks",
     "policy",
     "cycles",
     "seed",
     "watchdog_cycles",
-    "fidelity",
 ];
 
 /// The CLI's default seed (`smtsim run --seed` default), kept equal so
@@ -92,16 +90,6 @@ pub fn parse_sim_request(body: &str) -> Result<(SimConfig, String), String> {
         }
     };
 
-    let fidelity = match v.get("fidelity") {
-        None => Fidelity::detailed(),
-        Some(f) => {
-            let spec = f
-                .as_str()
-                .ok_or_else(|| String::from("field \"fidelity\" must be a string"))?;
-            Fidelity::parse(spec).map_err(|e| format!("bad fidelity: {e}"))?
-        }
-    };
-
     let (base, what) = match (v.get("workload"), v.get("benchmarks")) {
         (Some(_), Some(_)) => {
             return Err(String::from(
@@ -160,7 +148,6 @@ pub fn parse_sim_request(body: &str) -> Result<(SimConfig, String), String> {
         }
     };
     let cfg = base
-        .with_fidelity(fidelity)
         .with_cycles(opt_u64("cycles")?.unwrap_or(DEFAULT_CYCLES))
         .with_seed(opt_u64("seed")?.unwrap_or(DEFAULT_SEED))
         .with_watchdog(opt_u64("watchdog_cycles")?.unwrap_or(DEFAULT_WATCHDOG));

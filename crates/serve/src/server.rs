@@ -4,8 +4,9 @@
 //! Threading model: one accept thread pushes connections into a
 //! bounded queue (shedding 429 when full, 503 while draining); N
 //! worker threads pop connections and run the whole request lifecycle
-//! inline. No async, no clocks — all waits are `Condvar` timeouts or
-//! socket timeouts, so the crate stays D2-clean.
+//! inline; one closer thread finishes off shed connections. No async,
+//! no clocks — all waits are `Condvar` timeouts or socket timeouts, so
+//! the crate stays D2-clean.
 //!
 //! Panic-freedom is a design rule here, not an aspiration: every
 //! mutex lock recovers from poisoning, every socket error maps to a
@@ -14,8 +15,8 @@
 //! `SimError::JobPanicked`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -68,6 +69,22 @@ impl Default for ServerConfig {
     }
 }
 
+/// Most shed connections held open at once for a clean close; past
+/// this, a shed connection is dropped at once (its client may then see
+/// a reset instead of the 429/503).
+const MAX_CLOSING: usize = 64;
+
+/// The closer thread's poll interval while it holds connections (ms).
+const CLOSE_POLL_MS: u64 = 10;
+
+/// Polls before the closer gives up on a client that neither finishes
+/// sending nor closes: 50 × 10 ms, about half a second.
+const CLOSE_POLLS: u32 = 50;
+
+/// Bytes the closer reads from one connection per poll, so a client
+/// that keeps sending cannot hold the closer on itself.
+const CLOSE_READ_PER_POLL: usize = 64 * 1024;
+
 /// One in-flight simulation that followers with the same fingerprint
 /// block on instead of re-simulating.
 #[derive(Default)]
@@ -84,6 +101,10 @@ struct Shared {
     inflight: Mutex<BTreeMap<String, Arc<Inflight>>>,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
+    /// Answered shed connections awaiting a clean close, each with the
+    /// polls it has left (see [`closer_loop`]).
+    closing: Mutex<Vec<(TcpStream, u32)>>,
+    closing_cv: Condvar,
     draining: AtomicBool,
     accept_stop: AtomicBool,
     served: std::sync::atomic::AtomicU64,
@@ -119,6 +140,8 @@ impl Server {
             inflight: Mutex::new(BTreeMap::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
+            closing: Mutex::new(Vec::new()),
+            closing_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             accept_stop: AtomicBool::new(false),
             served: std::sync::atomic::AtomicU64::new(0),
@@ -133,6 +156,11 @@ impl Server {
             workers.push(spawned);
         }
         let s = Arc::clone(&shared);
+        let closer = thread::Builder::new()
+            .name(String::from("serve-closer"))
+            .spawn(move || closer_loop(&s))
+            .map_err(|e| format!("spawn closer thread: {e}"))?;
+        let s = Arc::clone(&shared);
         let accept = thread::Builder::new()
             .name(String::from("serve-accept"))
             .spawn(move || accept_loop(&s, &listener))
@@ -141,6 +169,7 @@ impl Server {
             addr,
             shared,
             accept: Some(accept),
+            closer: Some(closer),
             workers,
         })
     }
@@ -151,6 +180,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
+    closer: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -174,7 +204,8 @@ impl ServerHandle {
 
     /// Block until a drain was requested and completed: workers
     /// finish the queued work and exit, the accept thread is woken
-    /// and joined, and the cache journal is fsynced.
+    /// and joined, the closer finishes the shed connections it holds,
+    /// and the cache journal is fsynced.
     pub fn wait_for_drain(mut self) {
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -188,6 +219,13 @@ impl ServerHandle {
         }
         if let Some(a) = self.accept.take() {
             let _ = a.join();
+        }
+        // Under the lock, so the wake-up cannot slip in between the
+        // closer's stop check and its wait.
+        drop(lock_clean(&self.shared.closing));
+        self.shared.closing_cv.notify_all();
+        if let Some(c) = self.closer.take() {
+            let _ = c.join();
         }
         lock_clean(&self.shared.cache).sync_to_disk();
     }
@@ -214,6 +252,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 &[("Retry-After", "1")],
                 "{\"error\":\"server is draining; no new work accepted\"}\n",
             );
+            close_gracefully(shared, stream);
             continue;
         }
         let mut q = lock_clean(&shared.queue);
@@ -227,6 +266,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 &[("Retry-After", "1")],
                 "{\"error\":\"request queue is full; retry shortly\"}\n",
             );
+            close_gracefully(shared, stream);
             continue;
         }
         q.push_back(stream);
@@ -236,6 +276,68 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             .store(q.len() as u64, Ordering::Relaxed);
         drop(q);
         shared.queue_cv.notify_one();
+    }
+}
+
+/// Hand an answered shed connection to the closer thread.
+///
+/// Its request was never read. Dropping the socket with unread input
+/// makes the kernel send a reset, which can reach the client before it
+/// has read the 429/503, so the client sees "connection reset" instead
+/// of `Retry-After`. Instead the response is followed by a FIN
+/// (half-close), and the closer reads the request off the socket before
+/// closing it.
+fn close_gracefully(shared: &Shared, stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let mut closing = lock_clean(&shared.closing);
+    if closing.len() < MAX_CLOSING {
+        closing.push((stream, CLOSE_POLLS));
+        shared.closing_cv.notify_one();
+    }
+}
+
+/// Closer loop: every [`CLOSE_POLL_MS`], read and discard what each
+/// held connection has received, and close it once the client has
+/// closed its side, on a socket error, or after [`CLOSE_POLLS`] polls.
+/// It runs off the accept thread so that a slow client cannot stall
+/// accepts, and exits once the accept thread has stopped and nothing
+/// is left to close.
+fn closer_loop(shared: &Shared) {
+    let mut buf = [0u8; 4096];
+    let mut closing = lock_clean(&shared.closing);
+    loop {
+        closing.retain_mut(|(stream, polls_left)| {
+            let mut read = 0;
+            while read < CLOSE_READ_PER_POLL {
+                match stream.read(&mut buf) {
+                    Ok(0) => return false,
+                    Ok(n) => read += n,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(_) => return false,
+                }
+            }
+            *polls_left -= 1;
+            *polls_left > 0
+        });
+        if closing.is_empty() && shared.accept_stop.load(Ordering::SeqCst) {
+            return;
+        }
+        closing = if closing.is_empty() {
+            shared
+                .closing_cv
+                .wait(closing)
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+        } else {
+            shared
+                .closing_cv
+                .wait_timeout(closing, Duration::from_millis(CLOSE_POLL_MS))
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .0
+        };
     }
 }
 

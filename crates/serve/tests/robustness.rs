@@ -95,6 +95,20 @@ fn bad_requests_get_400_with_hints_and_unknown_paths_404() {
     assert_eq!(typo.status, 400);
     assert!(typo.body.contains("did you mean 'mflush'"), "{}", typo.body);
 
+    let retired = http_post(
+        &addr,
+        "/run",
+        "{\"workload\":\"2W1\",\"fidelity\":\"mem=fast,core=approx\"}",
+        5_000,
+    )
+    .expect("responds");
+    assert_eq!(retired.status, 400);
+    assert!(
+        retired.body.contains("unknown request field 'fidelity'"),
+        "{}",
+        retired.body
+    );
+
     let garbage = http_post(&addr, "/run", "][ not json", 5_000).expect("responds");
     assert_eq!(garbage.status, 400);
     assert!(garbage.body.contains("not JSON"), "{}", garbage.body);

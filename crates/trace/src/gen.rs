@@ -38,13 +38,6 @@ fn code_seed(name: &str) -> u64 {
     h
 }
 
-/// Build the static code dictionary for `profile` (shared helper for
-/// the detailed and reduced-fidelity generators, so both see the same
-/// code layout).
-pub(crate) fn shared_dict(profile: &'static BenchProfile) -> Arc<BasicBlockDict> {
-    Arc::new(BasicBlockDict::generate(profile, code_seed(profile.name)))
-}
-
 /// Deterministic generator of one thread's dynamic instruction stream.
 pub struct TraceGenerator {
     profile: &'static BenchProfile,
@@ -79,7 +72,8 @@ impl TraceGenerator {
     /// share I-cache footprints; behaviour (outcomes, addresses,
     /// dependencies) is seeded by `seed`.
     pub fn new(profile: &'static BenchProfile, seed: u64) -> Self {
-        Self::with_dict(profile, shared_dict(profile), seed)
+        let dict = BasicBlockDict::generate(profile, code_seed(profile.name));
+        Self::with_dict(profile, Arc::new(dict), seed)
     }
 
     /// Build a generator reusing an existing dictionary (cheap way to

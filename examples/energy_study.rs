@@ -2,18 +2,14 @@
 //! and what does that cost? (The machinery behind Figs. 9–11.)
 //!
 //! ```text
-//! cargo run --release --example energy_study [WORKLOAD] [CYCLES] [--fidelity mem=fast,core=approx]
+//! cargo run --release --example energy_study [WORKLOAD] [CYCLES]
 //! ```
 
 use mflush::energy::{accumulated_factor, ALL_STAGES};
 use mflush::prelude::*;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let fidelity = Fidelity::extract_from_args(&mut args).unwrap_or_else(|e| {
-        eprintln!("bad value for --fidelity: {e}");
-        std::process::exit(2);
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let workload = args.first().map(String::as_str).unwrap_or("8W1");
     let cycles: u64 = args.get(1).and_then(|c| c.parse().ok()).unwrap_or(100_000);
     let w = Workload::by_name(workload).expect("workload name like 8W1");
@@ -28,8 +24,7 @@ fn main() {
         PolicyKind::Mflush,
     ] {
         let cfg = SimConfig::for_workload(w, policy)
-            .with_cycles(cycles)
-            .with_fidelity(fidelity);
+            .with_cycles(cycles);
         let r = Simulator::build(&cfg)
             .expect("paper workload configs are valid")
             .run()

@@ -3,7 +3,7 @@
 //! what that does to a fixed FLUSH trigger.
 //!
 //! ```text
-//! cargo run --release --example l2_contention [CYCLES] [--fidelity mem=fast,core=approx]
+//! cargo run --release --example l2_contention [CYCLES]
 //! ```
 
 use mflush::prelude::*;
@@ -11,11 +11,7 @@ use mflush::sim::report::histogram_table;
 use mflush::sim::{run_sweep_ok, SweepJob};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let fidelity = Fidelity::extract_from_args(&mut args).unwrap_or_else(|e| {
-        eprintln!("bad value for --fidelity: {e}");
-        std::process::exit(2);
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let cycles: u64 = args
         .first()
         .and_then(|c| c.parse().ok())
@@ -32,8 +28,7 @@ fn main() {
                         SweepJob::new(
                             format!("{}/{}", w.name, p.label()),
                             SimConfig::for_workload(w, p)
-                                .with_cycles(cycles)
-                                .with_fidelity(fidelity),
+                                .with_cycles(cycles),
                         )
                     })
             })

@@ -2,18 +2,14 @@
 //! the paper's Figs. 2/3/8, on demand.
 //!
 //! ```text
-//! cargo run --release --example policy_comparison [WORKLOAD] [CYCLES] [--fidelity mem=fast,core=approx]
+//! cargo run --release --example policy_comparison [WORKLOAD] [CYCLES]
 //! ```
 
 use mflush::prelude::*;
 use mflush::sim::{run_sweep_ok, SweepJob};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let fidelity = Fidelity::extract_from_args(&mut args).unwrap_or_else(|e| {
-        eprintln!("bad value for --fidelity: {e}");
-        std::process::exit(2);
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let workload = args.first().map(String::as_str).unwrap_or("8W3");
     let cycles: u64 = args.get(1).and_then(|c| c.parse().ok()).unwrap_or(100_000);
 
@@ -38,16 +34,14 @@ fn main() {
             SweepJob::new(
                 p.label(),
                 SimConfig::for_workload(w, *p)
-                    .with_cycles(cycles)
-                    .with_fidelity(fidelity),
+                    .with_cycles(cycles),
             )
         })
         .collect();
 
     println!(
-        "{} for {cycles} cycles, all policies (parallel sweep, {}):\n",
-        w.name,
-        fidelity.label()
+        "{} for {cycles} cycles, all policies (parallel sweep):\n",
+        w.name
     );
     let results = run_sweep_ok(&jobs, 0);
     let base = results[0].1.throughput();

@@ -1,7 +1,7 @@
 //! Quickstart: simulate one of the paper's workloads under MFLUSH.
 //!
 //! ```text
-//! cargo run --release --example quickstart [WORKLOAD] [CYCLES] [TRACE_FILE] [--fidelity mem=fast,core=approx]
+//! cargo run --release --example quickstart [WORKLOAD] [CYCLES] [TRACE_FILE]
 //! cargo run --release --example quickstart 6W3 200000
 //! cargo run --release --example quickstart 8W3 200000 /tmp/8w3.jsonl
 //! ```
@@ -15,11 +15,7 @@ use mflush::sim::config::{DEFAULT_METRICS_INTERVAL, DEFAULT_TRACE_CAPACITY};
 use mflush::sim::obs;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let fidelity = Fidelity::extract_from_args(&mut args).unwrap_or_else(|e| {
-        eprintln!("bad value for --fidelity: {e}");
-        std::process::exit(2);
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let workload = args.first().map(String::as_str).unwrap_or("4W3");
     let cycles: u64 = args
         .get(1)
@@ -40,11 +36,7 @@ fn main() {
     );
 
     let cfg = SimConfig::for_workload(w, PolicyKind::Mflush)
-        .with_cycles(cycles)
-        .with_fidelity(fidelity);
-    if fidelity.is_reduced() {
-        println!("(reduced fidelity: {})\n", fidelity.label());
-    }
+        .with_cycles(cycles);
     let mut sim = Simulator::build(&cfg).expect("paper workload configs are valid");
     if trace_file.is_some() {
         sim.enable_tracing(DEFAULT_TRACE_CAPACITY);

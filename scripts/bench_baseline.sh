@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# Regenerate BENCH_baseline.json: host-time baselines for the fidelity
+# Regenerate BENCH_baseline.json: host-time baselines for the
 # configurations CI tracks (informational — host times are
 # machine-dependent, so ci.sh prints deltas against these entries but
 # never gates on them).
 #
 # Entries use bench_profile --plain: the observability layer is off so
-# the record isolates model cost, which is what the detailed-vs-reduced
-# fidelity comparison (DESIGN.md §13) is about.
+# the record isolates model cost.
 #
 # Usage: scripts/bench_baseline.sh   (writes BENCH_baseline.json)
 set -euo pipefail
@@ -15,11 +14,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline -q -p smtsim-bench
 BP=target/release/bench_profile
 
-best_of_3() { # workload fidelity cycles -> one JSON record on stdout
+best_of_3() { # workload cycles -> one JSON record on stdout
     local best="" bs="" line s
     for _ in 1 2 3; do
-        line=$("$BP" --workload "$1" --policy mflush --cycles "$3" \
-                     --fidelity "$2" --plain --json)
+        line=$("$BP" --workload "$1" --policy mflush --cycles "$2" --plain --json)
         s=$(printf '%s' "$line" | sed 's/.*"host_seconds": \([0-9.]*\).*/\1/')
         if [ -z "$best" ] || awk "BEGIN{exit !($s < $bs)}"; then
             best="$line" bs="$s"
@@ -33,15 +31,12 @@ best_of_3() { # workload fidelity cycles -> one JSON record on stdout
     echo '  "note": "Host-time baselines from bench_profile --plain --json (best of 3). Machine-dependent: ci.sh prints the delta against these, it never gates on them. Regenerate with scripts/bench_baseline.sh.",'
     echo '  "entries": ['
     first=1
-    for spec in "4W3 mem=detailed,core=detailed 300000" \
-                "4W3 mem=fast,core=approx 300000" \
-                "6W2 mem=detailed,core=detailed 1000000" \
-                "6W2 mem=fast,core=approx 1000000"; do
+    for spec in "4W3 300000" "6W2 1000000"; do
         # shellcheck disable=SC2086
         set -- $spec
         [ "$first" -eq 0 ] && echo ','
         first=0
-        printf '    %s' "$(best_of_3 "$1" "$2" "$3")"
+        printf '    %s' "$(best_of_3 "$1" "$2")"
     done
     echo ''
     echo '  ]'

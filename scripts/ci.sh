@@ -54,11 +54,11 @@ echo "== observability (trace determinism, METRICS.md drift) =="
 cargo test -q --offline -p smtsim-core --test obs_trace
 cargo test -q --offline -p smtsim-core --test metrics_doc
 
-echo "== fidelity equivalence (detailed == pre-refactor bytes) =="
-# Gate 6: the pluggable-fidelity refactor's invariant (DESIGN.md §13).
-# Also part of the workspace test gate; named here because byte-drift
-# in the default fidelity silently invalidates every golden figure.
-cargo test -q --offline -p smtsim-core --test fidelity
+echo "== detailed goldens (run, sweep and journal-replay bytes) =="
+# Gate 6: the detailed model's committed output bytes. Also part of the
+# workspace test gate; named here because byte-drift in the detailed
+# model silently invalidates every golden figure.
+cargo test -q --offline -p smtsim-core --test detailed_goldens
 
 echo "== serve (fault tolerance, cache replay, kill -9 restart) =="
 # Gate 7: the serving layer's robustness suite (DESIGN.md §15). Also
@@ -86,9 +86,6 @@ warn_drift() { # reads one "--baseline" output line on stdin
 }
 if [ -f BENCH_baseline.json ]; then
     BP=target/release/bench_profile
-    "$BP" --workload 4W3 --policy mflush --cycles 300000 \
-          --fidelity mem=fast,core=approx --plain --json \
-          --baseline BENCH_baseline.json | tail -1 | warn_drift
     "$BP" --workload 4W3 --policy mflush --cycles 300000 \
           --plain --json --baseline BENCH_baseline.json | tail -1 | warn_drift
 else
@@ -142,7 +139,7 @@ echo "== benchmark work counts (deterministic gate) =="
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- --check-counts
 
 echo "== rustdoc (-D warnings) =="
-# Gate 6: the API reference must build warning-free (missing docs on
+# Gate 10: the API reference must build warning-free (missing docs on
 # the core/obs surfaces are warnings via #![warn(missing_docs)], and
 # broken intra-doc links are rejected here).
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q

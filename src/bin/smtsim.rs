@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! smtsim run --workload 8W3 --policy mflush --cycles 200000
-//! smtsim run --workload 8W3 --fidelity mem=fast,core=approx --json
 //! smtsim run --benchmarks mcf,gzip,swim,crafty --policy flush-s50 --json
 //! smtsim run --workload 4W3 --policy flush-s30 --trace-events trace.jsonl --metrics-interval 5000
 //! smtsim run --workload 4W3 --trace-events trace.json --trace-format chrome
@@ -30,7 +29,7 @@ use smtsim_core::json::{write_escaped, JsonObject};
 use smtsim_core::report::{histogram_table, results_csv, throughput_table};
 use smtsim_core::suggest::did_you_mean;
 use smtsim_core::workloads::{ALL_WORKLOADS, FIG5B_WORKLOAD};
-use smtsim_core::{run_sweep_journaled, Fidelity, SimConfig, Simulator, SweepJob, ToJson, Workload};
+use smtsim_core::{run_sweep_journaled, SimConfig, Simulator, SweepJob, ToJson, Workload};
 use smtsim_policy::PolicyKind;
 use smtsim_trace::spec;
 use std::path::PathBuf;
@@ -39,10 +38,9 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  \
          smtsim run --workload <xWy> [--policy <p>] [--cycles N] [--seed N] [--json]\n             \
-         [--fidelity mem=<detailed|fast>,core=<detailed|approx>]\n             \
          [--trace-events FILE] [--metrics-interval N] [--trace-format jsonl|chrome]\n  \
          smtsim run --benchmarks a,b,c,d [--policy <p>] [--cycles N] [--json]\n  \
-         smtsim sweep --workload <xWy> [--cycles N] [--fidelity ...] [--journal FILE] [--csv | --json]\n  \
+         smtsim sweep --workload <xWy> [--cycles N] [--journal FILE] [--csv | --json]\n  \
          smtsim serve [--addr HOST:PORT] [--cache DIR] [--max-queue N] [--workers N]\n  \
          smtsim request --body JSON [--addr HOST:PORT] [--timeout MS]\n  \
          smtsim calibrate [--cycles N] [--json]\n  \
@@ -131,25 +129,18 @@ impl Args {
     }
 }
 
-/// Parse `--fidelity mem=fast,core=approx` (absent → detailed).
-/// Unknown components or fidelity names are usage errors: exit 2.
-fn parse_fidelity_arg(args: &Args) -> Fidelity {
-    match args.get("fidelity") {
-        None => Fidelity::detailed(),
-        Some(spec) => Fidelity::parse(spec).unwrap_or_else(|e| {
-            eprintln!("bad value for --fidelity: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
 fn build_config(args: &Args, policy: PolicyKind) -> SimConfig {
-    let fidelity = parse_fidelity_arg(args);
+    if args.has("fidelity") {
+        // Refuse rather than ignore: a script asking for the retired
+        // reduced models must not silently get a detailed run.
+        eprintln!("--fidelity was removed: only the detailed models remain (DESIGN.md §13)");
+        std::process::exit(2);
+    }
     if let Some(wl) = args.get("workload") {
         let w = Workload::by_name(wl).unwrap_or_else(|| {
             unknown_name("workload", wl, &workload_names(), "try `smtsim workloads`");
         });
-        SimConfig::for_workload(w, policy).with_fidelity(fidelity)
+        SimConfig::for_workload(w, policy)
     } else if let Some(list) = args.get("benchmarks") {
         let names: Vec<&str> = list.split(',').collect();
         if !names.len().is_multiple_of(2) {
@@ -166,7 +157,7 @@ fn build_config(args: &Args, policy: PolicyKind) -> SimConfig {
                 );
             }
         }
-        SimConfig::for_benchmarks(&names, policy).with_fidelity(fidelity)
+        SimConfig::for_benchmarks(&names, policy)
     } else {
         eprintln!("need --workload or --benchmarks");
         usage();

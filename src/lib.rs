@@ -39,7 +39,7 @@ pub use smtsim_trace as trace;
 pub mod prelude {
     pub use smtsim_core::config::SimConfig;
     pub use smtsim_core::sim::Simulator;
-    pub use smtsim_core::topology::{Fidelity, Topology};
+    pub use smtsim_core::topology::Topology;
     pub use smtsim_core::workloads::Workload;
     pub use smtsim_policy::PolicyKind;
     pub use smtsim_trace::spec;
